@@ -9,9 +9,11 @@ from __future__ import annotations
 import os
 import sys
 
-# Make the repo root importable when invoked as a plain script.
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+SRC = os.path.join(ROOT, "src")
+# Make the repo root and src/ importable when invoked as a plain script.
+sys.path.insert(0, ROOT)
+sys.path.insert(0, SRC)
 
 import conftest  # noqa: E402,F401  (sets PYSPARK_SUBMIT_ARGS pre-import)
 from pyspark.sql import SparkSession  # noqa: E402
@@ -24,6 +26,9 @@ def get_spark(app_name: str) -> SparkSession:
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.ui.showConsoleProgress", "false")
+        # The Python workers import repro from the checkout's src/ too, so
+        # no installed package is needed.
+        .config("spark.executorEnv.PYTHONPATH", SRC)
         .getOrCreate()
     )
     spark.sparkContext.setLogLevel("ERROR")

@@ -3,7 +3,7 @@
 ``mine(spark, df, hierarchy, patex, sigma, algorithm=...)`` runs the full
 pipeline — Spark f-list (unless a Dictionary is supplied), pattern
 expression compilation, encoding, one of the four distributed algorithms,
-and result materialization as a DataFrame(pattern, support).
+and result decoding into a lazy DataFrame(pattern, support).
 
 ``mine_sequential`` runs DESQ-DFS on the driver (the Table V baseline).
 """
@@ -45,9 +45,16 @@ def mine(
     ``max_runs`` for D-CAND; ``max_candidates`` for the naïve methods).
     Returns a DataFrame with columns ``pattern`` (space-joined item names)
     and ``support``.
+
+    The DataFrame is lazy: mining, decoding (on the executors) and
+    materialization run in the job of the first action on it, and every
+    further action runs the mining job again. ``cache()`` it to act on it
+    more than once. Only the f-list, when no ``dictionary`` is given, runs
+    a job inside this call.
     """
-    rdd, d = _prepare(spark, df, hierarchy, patex, sigma, item_col,
-                      dictionary, num_partitions)
+    d = dictionary if dictionary is not None else build_dictionary(
+        spark, df, hierarchy, item_col)
+    rdd = framework.encode_rdd(df, d, item_col, num_partitions)
     fst = compile_patex(patex, d)
     if algorithm == "naive":
         result = naive(rdd, fst, d, sigma, semi=False, **options)
@@ -59,23 +66,7 @@ def mine(
         result = d_cand(rdd, fst, d, sigma, **options)
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}; use one of {ALGORITHMS}")
-    return framework.results_to_df(spark, result.collect(), d)
-
-
-def _prepare(
-    spark: SparkSession,
-    df: DataFrame,
-    hierarchy: Mapping[str, Sequence[str]],
-    patex: str,
-    sigma: int,
-    item_col: str,
-    dictionary: Optional[Dictionary],
-    num_partitions: int,
-):
-    df = framework.with_seq_ids(df, item_col)
-    d = dictionary or build_dictionary(spark, df, hierarchy, item_col)
-    rdd = framework.encode_rdd(df, d, item_col, num_partitions)
-    return rdd, d
+    return framework.results_to_df(spark, result, d)
 
 
 def mine_sequential(

@@ -9,9 +9,9 @@ Map (per input sequence T):
   * minimize each trie (Revuz) and serialize it with the DFS scheme,
   * emit ``(k, serialized_nfa)``.
 
-Shuffle (exactly one): ``combineByKey`` aggregates identical NFAs into
-weights map-side — the paper's combine function; the serialized form is a
-hashable int tuple precisely so this aggregation is a dict update.
+Shuffle (exactly one): ``framework.weigh_by_key`` aggregates identical NFAs
+into weights map-side — the paper's combine function; the serialized form
+is a hashable int tuple precisely so this aggregation is a dict update.
 
 Reduce (per partition Pk): deserialize the weighted NFAs and count
 candidate frequencies directly on them with the NFA pattern-growth counter
@@ -32,7 +32,7 @@ from repro.patex.fst import Fst
 from repro.desq.grid import EPS_SET, pivot_merge
 from repro.desq.nfa import build_pivot_nfas, deserialize, mine_nfas, serialize
 from repro.desq.simulate import accepting_runs, run_output_sets
-from repro.core.framework import merge_weight_dicts
+from repro.core.framework import weigh_by_key
 
 
 def d_cand(
@@ -71,34 +71,11 @@ def d_cand(
         )
         return [(k, serialize(nfa)) for k, nfa in nfas.items()]
 
-    def create_combiner(payload):
-        return {payload: 1}
-
-    def merge_value(weights, payload):
-        weights[payload] = weights.get(payload, 0) + 1
-        return weights
-
     def reduce_phase(kv):
         k, weights = kv
         inputs = [(deserialize(payload), w) for payload, w in weights.items()]
         return list(mine_nfas(inputs, sigma, pivot=k).items())
 
-    mapped = seq_rdd.flatMap(map_phase)
-    if aggregate:
-        partitions = mapped.combineByKey(
-            create_combiner, merge_value, merge_weight_dicts
-        )
-    else:
-        # Ablation (Fig. 10b "no agg"): ship every NFA individually; the
-        # reducer still groups them, but nothing is merged map-side.
-        partitions = mapped.groupByKey().mapValues(
-            lambda payloads: _count_payloads(payloads)
-        )
+    # aggregate=False: the Fig. 10b "no agg" ablation.
+    partitions = weigh_by_key(seq_rdd.flatMap(map_phase), combine=aggregate)
     return partitions.flatMap(reduce_phase)
-
-
-def _count_payloads(payloads) -> dict:
-    weights: dict = {}
-    for p in payloads:
-        weights[p] = weights.get(p, 0) + 1
-    return weights

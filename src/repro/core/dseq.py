@@ -8,7 +8,7 @@ Map (per input sequence T):
     trimmed rewrite (Sec. V-B; full T when ``rewrite=False``) and
     last_pivot_pos feeds the reducer's early-stopping heuristic.
 
-Shuffle (exactly one): ``combineByKey`` aggregates identical
+Shuffle (exactly one): ``framework.weigh_by_key`` aggregates identical
 representations into weights map-side (LASH-style; identical rewritten
 sequences are mined once).
 
@@ -24,7 +24,7 @@ from repro.patex.fst import Fst
 from repro.desq.dfs import mine
 from repro.desq.grid import pivot_items_bruteforce
 from repro.desq.rewrite import pivot_representations
-from repro.core.framework import merge_weight_dicts
+from repro.core.framework import weigh_by_key
 
 
 def d_seq(
@@ -54,13 +54,6 @@ def d_seq(
             }
         return list(reps.items())
 
-    def create_combiner(rep):
-        return {rep: 1}
-
-    def merge_value(weights, rep):
-        weights[rep] = weights.get(rep, 0) + 1
-        return weights
-
     def reduce_phase(kv):
         k, weights = kv
         results = mine(
@@ -73,7 +66,4 @@ def d_seq(
         )
         return list(results.items())
 
-    partitions = seq_rdd.flatMap(map_phase).combineByKey(
-        create_combiner, merge_value, merge_weight_dicts
-    )
-    return partitions.flatMap(reduce_phase)
+    return weigh_by_key(seq_rdd.flatMap(map_phase)).flatMap(reduce_phase)

@@ -3,14 +3,16 @@
 All four algorithms (NAÏVE, SEMI-NAÏVE, D-SEQ, D-CAND) follow the same
 map → shuffle → reduce skeleton with exactly one round of communication.
 This module provides the pieces around that skeleton: encoding sequence
-DataFrames into RDDs of fid tuples, materializing results as DataFrames,
-and asserting the one-shuffle property from an RDD lineage.
+DataFrames into RDDs of fid tuples, the one shuffle that weighs identical
+representations per pivot, materializing results as DataFrames, and
+asserting the one-shuffle property from an RDD lineage.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from collections import Counter
+from typing import Dict, List, Tuple, Union
 
-from pyspark import RDD, SparkContext
+from pyspark import RDD
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.types import LongType, StringType, StructField, StructType
@@ -39,18 +41,51 @@ def encode_rdd(
     return rdd
 
 
+RESULT_SCHEMA = StructType(
+    [
+        StructField("pattern", StringType(), False),
+        StructField("support", LongType(), False),
+    ]
+)
+
+
 def results_to_df(
-    spark: SparkSession, results: List[Tuple[Tuple[int, ...], int]], d: Dictionary
+    spark: SparkSession,
+    results: Union[RDD, List[Tuple[Tuple[int, ...], int]]],
+    d: Dictionary,
 ) -> DataFrame:
-    """[(fid tuple, support)] → DataFrame(pattern: string, support: long)."""
-    schema = StructType(
-        [
-            StructField("pattern", StringType(), False),
-            StructField("support", LongType(), False),
-        ]
-    )
-    rows = [(d.decode_str(seq), int(f)) for seq, f in results]
-    return spark.createDataFrame(rows, schema)
+    """[(fid tuple, support)] → DataFrame(pattern: string, support: long).
+
+    An RDD is decoded on the executors with ``d`` broadcast, and the
+    DataFrame stays lazy: no job runs until it is consumed. A list is
+    decoded on the driver.
+    """
+    if isinstance(results, RDD):
+        d_bc = spark.sparkContext.broadcast(d)
+        rows = results.map(lambda r: (d_bc.value.decode_str(r[0]), int(r[1])))
+    else:
+        rows = [(d.decode_str(seq), int(f)) for seq, f in results]
+    return spark.createDataFrame(rows, RESULT_SCHEMA)
+
+
+def weigh_by_key(mapped: RDD, *, combine: bool = True) -> RDD:
+    """(k, representation) → (k, {representation: weight}), one shuffle.
+
+    With ``combine``, identical representations are merged into weights
+    map-side by ``combineByKey`` (the paper's combine function). Without
+    it (the Fig. 10b "no agg" ablation) every representation is shipped
+    on its own by ``groupByKey`` and only counted after the shuffle.
+    """
+    if combine:
+        return mapped.combineByKey(
+            lambda rep: {rep: 1}, _add_one, merge_weight_dicts
+        )
+    return mapped.groupByKey().mapValues(Counter)
+
+
+def _add_one(weights: Dict, rep) -> Dict:
+    weights[rep] = weights.get(rep, 0) + 1
+    return weights
 
 
 def count_shuffles(rdd: RDD) -> int:

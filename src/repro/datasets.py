@@ -5,34 +5,31 @@ review sequences), AMZN-F (forest-hierarchy variant), and CW50 (567M
 ClueWeb sentences). None are redistributable or laptop-sized, so each
 generator below produces a deterministic corpus with the same *shape*:
 
-* ``nyt_lite`` — grammar-templated sentences over a POS-tagged vocabulary:
+* ``nyt_lite_raw`` — grammar-templated sentences over a POS-tagged vocabulary:
   inflected word → lemma → POS chains (|anc| = 3, like NYT's mean 2.8 /
   max 3) and Zipf-popular entities with entity → type → ENTITY chains.
   Relational clauses ("lives in", "graduated from", "is survived by",
   "was born in", "is a professor") are planted so the paper's N1-N5
   example patterns come out of the miners.
-* ``amzn_lite`` — per-customer product sequences with a
+* ``amzn_lite_raw`` — per-customer product sequences with a
   product → subcategory → department DAG (some products carry two
   subcategory parents), Zipf product popularity, heavy-tailed basket
   lengths (mean ≈ 4 like AMZN's 3.9), and planted co-purchase structure
   (camera → lenses/tripods/batteries, MP3 player → headphones, ordered
   fantasy-book series, instruments → bags & cases) for A1-A4.
-* ``amzn_f_lite`` — the forest variant: multi-parent products keep their
+* ``amzn_f_lite_raw`` — the forest variant: multi-parent products keep their
   first (most popular) subcategory, mirroring the paper's AMZN-F.
-* ``cw_lite`` — flat Zipf sentences (no hierarchy) via
+* ``cw_lite_raw`` — flat Zipf sentences (no hierarchy) via
   :func:`repro.synth_data.zipf_sequences_raw`.
 
 Each ``*_raw`` function returns ``(sequences, hierarchy)`` as plain Python
-objects (for the sequential baseline and unit tests); the same-named
-Spark wrapper returns ``(DataFrame(seq_id, items), hierarchy)``.
+objects; callers build Spark DataFrames from them as needed.
 """
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 from repro.synth_data import zipf_sequences_raw
 
@@ -306,34 +303,8 @@ def cw_lite_raw(n: int = 500, seed: int = 31) -> Tuple[List[List[str]], Hierarch
 
 
 # ---------------------------------------------------------------------------
-# Spark wrappers and registry
+# Registry
 # ---------------------------------------------------------------------------
-
-def _to_df(spark: SparkSession, seqs: List[List[str]]) -> DataFrame:
-    return spark.createDataFrame(
-        pd.DataFrame({"seq_id": np.arange(len(seqs)), "items": seqs})
-    )
-
-
-def nyt_lite(spark: SparkSession, n: int = 500, seed: int = 17):
-    seqs, h = nyt_lite_raw(n, seed)
-    return _to_df(spark, seqs), h
-
-
-def amzn_lite(spark: SparkSession, n: int = 500, seed: int = 23):
-    seqs, h = amzn_lite_raw(n, seed)
-    return _to_df(spark, seqs), h
-
-
-def amzn_f_lite(spark: SparkSession, n: int = 500, seed: int = 23):
-    seqs, h = amzn_f_lite_raw(n, seed)
-    return _to_df(spark, seqs), h
-
-
-def cw_lite(spark: SparkSession, n: int = 500, seed: int = 31):
-    seqs, h = cw_lite_raw(n, seed)
-    return _to_df(spark, seqs), h
-
 
 DATASETS = {
     "NYT-lite": nyt_lite_raw,

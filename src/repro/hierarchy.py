@@ -18,6 +18,7 @@ occurs), and the frequency-ordered integer encoding:
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
@@ -62,20 +63,21 @@ def ancestor_closure(hierarchy: Mapping[str, Sequence[str]]) -> Dict[str, frozen
 def document_frequencies(
     sequences: Iterable[Sequence[str]],
     closure: Mapping[str, frozenset],
-) -> Dict[str, int]:
+) -> Counter:
     """f(w, D) per item: #sequences containing w or any descendant of w.
 
     Implemented by expanding each sequence to the distinct union of the
     ancestor sets of its items (so ancestors are counted whenever any
-    descendant occurs, cf. Fig. 2c: f(A) = 4 for the running example).
+    descendant occurs, cf. Fig. 2c: f(A) = 4 for the running example); an
+    item missing from ``closure`` closes over itself. Items that occur in
+    no sequence, not even through a descendant, are absent.
     """
-    freq: Dict[str, int] = {w: 0 for w in closure}
+    freq: Counter = Counter()
     for seq in sequences:
         seen: set = set()
         for t in seq:
             seen.update(closure.get(t, (t,)))
-        for w in seen:
-            freq[w] = freq.get(w, 0) + 1
+        freq.update(seen)
     return freq
 
 

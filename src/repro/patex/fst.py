@@ -87,10 +87,6 @@ class Fst:
             object.__setattr__(self, "_by_src", cached)
         return cached
 
-    def step(self, q: int, t: int, d: Dictionary) -> List[Transition]:
-        """All transitions from state ``q`` that match input item ``t``."""
-        return [tr for tr in self.by_src()[q] if tr.matches(t, d)]
-
     def describe(self, d: Dictionary) -> str:
         """Human-readable transition table (for tests and debugging)."""
 

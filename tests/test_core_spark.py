@@ -1,6 +1,7 @@
 """Spark integration tests: f-list, the four distributed algorithms, the
 one-shuffle property, and the facade."""
 import random
+from contextlib import contextmanager
 
 import pandas as pd
 import pytest
@@ -18,6 +19,7 @@ from repro.core.flist import (
 )
 from repro.core.framework import count_shuffles, encode_rdd, with_seq_ids
 from repro.core.naive import naive
+from repro.datasets import amzn_f_lite_raw
 from repro.hierarchy import Dictionary
 from repro.patex import compile_patex
 from tests.conftest import DEX, HIER, PAPER_ORDER, PIEX
@@ -30,6 +32,26 @@ def dex_df(spark):
     return spark.createDataFrame(
         pd.DataFrame({"seq_id": range(len(DEX)), "items": DEX})
     )
+
+
+@contextmanager
+def job_group(spark, group):
+    """Run the block in Spark job group ``group``. Yields a function that
+    returns the ids of the jobs started in the group so far."""
+    sc = spark.sparkContext
+
+    def job_ids():
+        # Job starts reach the status tracker through the asynchronous
+        # listener bus; drain it first.
+        sc._jsc.sc().listenerBus().waitUntilEmpty()
+        return list(sc.statusTracker().getJobIdsForGroup(group))
+
+    sc.setJobGroup(group, group)
+    try:
+        yield job_ids
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +79,20 @@ class TestFlist:
         d = build_dictionary(spark, dex_df, HIER, order=PAPER_ORDER)
         assert d.names == dex_dict.names
         assert d.dfreq == dex_dict.dfreq
+
+    def test_build_dictionary_runs_one_job(self, spark, dex_df):
+        with job_group(spark, "flist-one-job") as job_ids:
+            build_dictionary(spark, dex_df, HIER)
+            assert len(job_ids()) == 1
+
+    def test_build_dictionary_forest_corpus(self, spark):
+        """Spark f-list == driver f-list on a hierarchy forest, no seq_id."""
+        seqs, h = amzn_f_lite_raw(200, 23)
+        df = spark.createDataFrame(pd.DataFrame({"items": seqs}))
+        got = build_dictionary(spark, df, h)
+        want = Dictionary.build(seqs, h)
+        assert got.names == want.names
+        assert got.dfreq == want.dfreq
 
     def test_hierarchy_only_items_get_zero(self, spark):
         df = spark.createDataFrame(
@@ -201,6 +237,25 @@ class TestFacade:
         out = mine(spark, df, HIER, PIEX, 2, algorithm="semi_naive")
         got = {r["pattern"]: r["support"] for r in out.collect()}
         assert got == EXPECTED
+
+    def test_mine_is_lazy(self, spark, dex_df, dex_dict):
+        """With a dictionary, mine() starts no job until its result is
+        consumed; then one action mines, decodes and materializes."""
+        with job_group(spark, "mine-lazy") as job_ids:
+            out = mine(spark, dex_df, HIER, PIEX, 2, algorithm="dcand",
+                       dictionary=dex_dict)
+            assert job_ids() == []
+            got = {r["pattern"]: r["support"] for r in out.collect()}
+            assert job_ids()
+        assert got == EXPECTED
+
+    @pytest.mark.parametrize("algo", ["dseq", "dcand"])
+    @pytest.mark.parametrize("rows", [[], [[]]], ids=["no_rows", "empty_row"])
+    def test_mine_empty_input(self, spark, algo, rows):
+        df = spark.createDataFrame([(r,) for r in rows], "items array<string>")
+        out = mine(spark, df, {}, ".*(.).*", 1, algorithm=algo)
+        assert out.columns == ["pattern", "support"]
+        assert out.collect() == []
 
     def test_unknown_algorithm(self, spark, dex_df):
         with pytest.raises(ValueError):

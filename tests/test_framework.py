@@ -1,10 +1,13 @@
 """Tests for the shared distributed-framework plumbing."""
 import pandas as pd
+import pytest
 
 from repro.core.framework import (
+    count_shuffles,
     encode_rdd,
     merge_weight_dicts,
     results_to_df,
+    weigh_by_key,
     with_seq_ids,
 )
 from repro.hierarchy import Dictionary
@@ -53,3 +56,18 @@ class TestSparkPlumbing:
         assert row["pattern"] == f"{d.name(1)} {d.name(2)}"
         assert row["support"] == 3
         assert dict(df.dtypes) == {"pattern": "string", "support": "bigint"}
+
+    def test_results_to_df_from_rdd(self, spark):
+        d = Dictionary.build([["x", "y"]], {})
+        rdd = spark.sparkContext.parallelize([((1, 2), 3), ((2,), 1)])
+        got = {r["pattern"]: r["support"] for r in results_to_df(spark, rdd, d).collect()}
+        assert got == {f"{d.name(1)} {d.name(2)}": 3, d.name(2): 1}
+
+    @pytest.mark.parametrize("combine", [True, False])
+    def test_weigh_by_key(self, spark, combine):
+        pairs = spark.sparkContext.parallelize(
+            [(1, "a"), (2, "b"), (1, "a"), (1, "c")], 2
+        )
+        out = weigh_by_key(pairs, combine=combine)
+        assert count_shuffles(out) == 1
+        assert dict(out.collect()) == {1: {"a": 2, "c": 1}, 2: {"b": 1}}
