@@ -1,9 +1,11 @@
 """D-SEQ: item-based partitioning with sequence representation (Sec. V).
 
-Map (per input sequence T):
-  * build the position–state grid, compute the pivot items K(T) via the
-    forward pass (Sec. V-A) — or brute-force candidate enumeration when
-    ``use_grid=False`` (the Fig. 10a ablation),
+Map (``mapPartitions``; one σ-filtered ``grid.StepTable`` per task, built
+from the broadcast FST and Dictionary and shared by its sequences), per
+input sequence T:
+  * compute the pivot items K(T) by the backward and forward passes over
+    the position–state grid (Sec. V-A) — or brute-force candidate
+    enumeration when ``use_grid=False`` (the Fig. 10a ablation),
   * per pivot k, emit ``(k, (ρk(T), last_pivot_pos))`` where ρk(T) is the
     trimmed rewrite (Sec. V-B; full T when ``rewrite=False``) and
     last_pivot_pos feeds the reducer's early-stopping heuristic.
@@ -22,7 +24,7 @@ from pyspark import RDD
 from repro.hierarchy import Dictionary
 from repro.patex.fst import Fst
 from repro.desq.dfs import mine
-from repro.desq.grid import pivot_items_bruteforce
+from repro.desq.grid import StepTable, pivot_items_bruteforce
 from repro.desq.rewrite import pivot_representations
 from repro.core.framework import weigh_by_key
 
@@ -42,17 +44,18 @@ def d_seq(
     fst_bc = sc.broadcast(fst)
     d_bc = sc.broadcast(d)
 
-    def map_phase(T):
+    def map_partition(seqs):
         fst_, d_ = fst_bc.value, d_bc.value
-        if use_grid:
-            reps = pivot_representations(fst_, T, d_, sigma, rewrite=rewrite)
-        else:
+        if not use_grid:
             # Ablation: enumerate candidates to find pivots, ship full T.
-            reps = {
-                k: (tuple(T), None)
-                for k in pivot_items_bruteforce(fst_, T, d_, sigma)
-            }
-        return list(reps.items())
+            for T in seqs:
+                for k in pivot_items_bruteforce(fst_, T, d_, sigma):
+                    yield k, (tuple(T), None)
+            return
+        steps = StepTable(fst_, d_, sigma)  # shared by the task's sequences
+        for T in seqs:
+            yield from pivot_representations(
+                fst_, T, d_, sigma, rewrite=rewrite, steps=steps).items()
 
     def reduce_phase(kv):
         k, weights = kv
@@ -66,4 +69,4 @@ def d_seq(
         )
         return list(results.items())
 
-    return weigh_by_key(seq_rdd.flatMap(map_phase)).flatMap(reduce_phase)
+    return weigh_by_key(seq_rdd.mapPartitions(map_partition)).flatMap(reduce_phase)

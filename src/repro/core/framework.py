@@ -30,12 +30,11 @@ def with_seq_ids(df: DataFrame, item_col: str = "items") -> DataFrame:
 def encode_rdd(
     df: DataFrame, d: Dictionary, item_col: str = "items", num_partitions: int = 0
 ) -> RDD:
-    """DataFrame of string-array sequences → RDD of fid tuples."""
+    """DataFrame of string-array sequences → RDD of fid tuples (items
+    missing from ``d`` become ``d.unknown``)."""
     sc = df.sparkSession.sparkContext
     d_bc = sc.broadcast(d)
-    rdd = df.select(item_col).rdd.map(
-        lambda row: tuple(d_bc.value.fid_of[t] for t in row[0])
-    )
+    rdd = df.select(item_col).rdd.map(lambda row: d_bc.value.encode(row[0]))
     if num_partitions:
         rdd = rdd.repartition(num_partitions)
     return rdd

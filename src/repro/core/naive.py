@@ -37,6 +37,7 @@ def naive(
     fst_bc = sc.broadcast(fst)
     d_bc = sc.broadcast(d)
     gen_sigma = sigma if semi else None
+    unknown = d.unknown
 
     def gen(T):
         # Distinct per input sequence: support counts sequences, not
@@ -53,5 +54,7 @@ def naive(
     return (
         seq_rdd.flatMap(gen)
         .reduceByKey(lambda a, b: a + b)
-        .filter(lambda kv: kv[1] >= sigma)
+        # Items missing from the dictionary share one fid with f = 0: never
+        # frequent, whatever their count (SEMI-NAÏVE never generates them).
+        .filter(lambda kv: kv[1] >= sigma and unknown not in kv[0])
     )

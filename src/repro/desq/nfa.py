@@ -174,15 +174,19 @@ def serialize(nfa: Nfa) -> Tuple[int, ...]:
     """
     out: List[int] = []
     visit_id: Dict[int, int] = {0: 0}
-
-    def dfs(state: int) -> None:
-        for lab, tgt in nfa.children[state]:
+    cursor = 0  # target of the previous written transition
+    # Explicit DFS stack of (state, iterator over its remaining edges), so
+    # long chains do not hit the recursion limit.
+    stack = [(0, iter(nfa.children[0]))]
+    while stack:
+        state, edges = stack.pop()
+        for lab, tgt in edges:
             flags = 0
             parts: List[int] = []
             # Source: implied iff it is the target of the previous written
             # transition; we emit it whenever we *return* to a state (i.e.
             # not the first edge written from it in direct succession).
-            if _cursor[0] != state:
+            if cursor != state:
                 flags |= _HAS_SRC
                 parts.append(visit_id[state])
             seen_tgt = tgt in visit_id
@@ -198,13 +202,11 @@ def serialize(nfa: Nfa) -> Tuple[int, ...]:
                 parts.append(visit_id[tgt])
             out.append(flags)
             out.extend(parts)
-            _cursor[0] = tgt
-            if not seen_tgt:
-                dfs(tgt)
-                # after returning, the cursor sits somewhere below
-
-    _cursor = [0]
-    dfs(0)
+            cursor = tgt
+            if not seen_tgt:  # descend; resume this state's edges after
+                stack.append((state, edges))
+                stack.append((tgt, iter(nfa.children[tgt])))
+                break
     return tuple(out)
 
 

@@ -7,11 +7,12 @@ if, on some accepting run that can produce a pivot-k candidate, its
 transition either (1) produces output usable in a pivot-k candidate (an
 item ≤ k that survives σ-filtering) or (2) changes the FST state.
 
-Edges that "can produce a pivot-k candidate" are identified exactly via the
-grid: with A(i-1, q') the prefix pivot sets (forward pass), out the σ-filtered
-output set of the edge, and B(i, q) the suffix pivot sets (backward pass),
-the pivots of all runs through the edge are A ⊕ out ⊕ B (⊕ distributes over
-union), so the edge is k-capable iff k ∈ A ⊕ out ⊕ B.
+Edges that "can produce a pivot-k candidate" are identified exactly: with
+A(i-1, q') the prefix pivot sets (forward pass), out the σ-filtered output
+set of the edge, and B(i, q) the suffix pivot sets (backward pass), the
+pivots of all runs through the edge are A ⊕ out ⊕ B (⊕ distributes over
+union), so the edge is k-capable iff k ∈ A ⊕ out ⊕ B. ``grid.pivot_passes``
+collects these per position; one scan each way finds the positions below.
 
 Dropping leading/trailing irrelevant positions is sound (Sec. V-B): before
 the first relevant position, every pivot-k-capable run sits in the initial
@@ -22,23 +23,15 @@ and local mining outputs only pivot-k sequences anyway).
 This module also computes the *last pivot position* per (T, k) — the last
 position whose transition can output k on a k-capable run — which D-SEQ
 ships with ρk(T) so the reducer's early-stopping heuristic (Sec. V-C) needs
-no second grid construction.
+no second pivot search.
 """
 from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.hierarchy import EPSILON, Dictionary
+from repro.hierarchy import Dictionary
 from repro.patex.fst import Fst
-from repro.desq.grid import (
-    EMPTY,
-    Grid,
-    build_grid,
-    pivot_merge,
-    prefix_pivots,
-    suffix_pivots,
-    _filtered_out,
-)
+from repro.desq.grid import Grid, StepTable, pivot_passes
 
 
 def pivot_representations(
@@ -49,63 +42,44 @@ def pivot_representations(
     *,
     rewrite: bool = True,
     grid: Optional[Grid] = None,
+    steps: Optional[StepTable] = None,
 ) -> Dict[int, Tuple[Tuple[int, ...], int]]:
     """Per pivot k of T: ``(ρk(T), last_pivot_pos)``.
 
     ``ρk(T)`` is the trimmed sequence (T itself when ``rewrite=False``) and
     ``last_pivot_pos`` the 0-based index *within ρk(T)* of the last position
-    that can still output k on a k-capable accepting run (-1 if unknown).
-    Returns an empty dict when T generates no σ-filtered candidates.
+    that can still output k on a k-capable accepting run. Returns an empty
+    dict when T generates no σ-filtered candidates.
+
+    ``steps`` is the :class:`StepTable` of ``(fst, d, sigma)``; share one
+    across sequences, else each call builds its own. ``grid`` is unused:
+    the passes run on the step table, and the keyword only keeps callers
+    that build a grid first working.
     """
     T = tuple(T)
-    if grid is None:
-        grid = build_grid(fst, T, d)
-    if not grid.accepts():
-        return {}
-    A = prefix_pivots(grid, fst, d, sigma)
-    B = suffix_pivots(grid, fst, d, sigma)
+    if steps is None:
+        steps = StepTable(fst, d, sigma)
+    _, relevant, outputs = pivot_passes(steps, T)
 
-    # Per pivot: first/last relevant position and last k-producing position,
-    # all 1-based over T.
+    # Per pivot, 1-based over T: first/last relevant, last k-producing position.
     first_rel: Dict[int, int] = {}
+    for i, rel in enumerate(relevant):
+        for k in rel:
+            first_rel.setdefault(k, i)
     last_rel: Dict[int, int] = {}
     last_piv: Dict[int, int] = {}
-    n = grid.n
-    for i in range(1, n + 1):
-        t = T[i - 1]
-        for q, incoming in grid.in_edges[i].items():
-            b = B[i].get(q, EMPTY)
-            if not b:
-                continue
-            for q_prev, tr in incoming:
-                a = A[i - 1].get(q_prev, EMPTY)
-                if not a:
-                    continue
-                out = _filtered_out(tr, t, d, sigma)
-                pivots = pivot_merge(pivot_merge(a, out), b)
-                pivots = pivots - {EPSILON}
-                if not pivots:
-                    continue
-                state_change = q_prev != q
-                out_items = out - {EPSILON}
-                for k in pivots:
-                    relevant = state_change or any(w <= k for w in out_items)
-                    if relevant:
-                        if k not in first_rel or i < first_rel[k]:
-                            first_rel[k] = i
-                        if k not in last_rel or i > last_rel[k]:
-                            last_rel[k] = i
-                    if k in out_items and (k not in last_piv or i > last_piv[k]):
-                        last_piv[k] = i
+    for i in range(len(T), 0, -1):
+        if len(last_piv) == len(first_rel):
+            break  # a k-producing position is relevant, so last_rel is full
+        for k in relevant[i]:
+            last_rel.setdefault(k, i)
+        for k in outputs[i]:
+            last_piv.setdefault(k, i)
 
     reps: Dict[int, Tuple[Tuple[int, ...], int]] = {}
     for k, first in first_rel.items():
-        last = last_rel[k]
         if rewrite:
-            rho = T[first - 1 : last]
-            lp = last_piv.get(k, first) - first  # 0-based within rho
+            reps[k] = (T[first - 1 : last_rel[k]], last_piv[k] - first)
         else:
-            rho = T
-            lp = last_piv.get(k, last) - 1
-        reps[k] = (rho, lp)
+            reps[k] = (T, last_piv[k] - 1)
     return reps

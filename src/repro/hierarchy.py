@@ -14,7 +14,10 @@ occurs), and the frequency-ordered integer encoding:
 * fids ``1..|Σ|`` are assigned by decreasing document frequency (ties broken
   by name, or by an explicit ``order`` for tests that pin the paper's order);
 * consequently ``pivot(S) = max(S)`` and the frequent items form the prefix
-  ``1..fmax(sigma)``.
+  ``1..fmax(sigma)``;
+* fid ``|Σ|+1`` (``Dictionary.unknown``) stands for every item the
+  dictionary does not know: f = 0 and only itself as ancestor, so it takes
+  a position (for gap constraints) but is never frequent.
 """
 from __future__ import annotations
 
@@ -92,10 +95,12 @@ class Dictionary:
     fid_of:
         inverse mapping name → fid.
     dfreq:
-        ``dfreq[fid - 1]`` is the document frequency f(w, D).
+        ``dfreq[fid - 1]`` is the document frequency f(w, D); the last
+        entry (0) belongs to the unknown-item fid.
     anc:
         ``anc[fid - 1]`` is the tuple of ancestor fids of the item,
-        *including itself*, sorted ascending (most frequent first).
+        *including itself*, sorted ascending (most frequent first); the
+        last entry belongs to the unknown-item fid.
     parents:
         direct-parent fids per item (for dataset statistics).
     """
@@ -147,10 +152,11 @@ class Dictionary:
             ordered = sorted(closure, key=lambda w: (-freqs[w], w))
         fid_of = {w: i + 1 for i, w in enumerate(ordered)}
         names = tuple(ordered)
-        dfreq_t = tuple(freqs[w] for w in ordered)
+        unknown = len(ordered) + 1
+        dfreq_t = tuple(freqs[w] for w in ordered) + (0,)
         anc = tuple(
             tuple(sorted(fid_of[a] for a in closure[w])) for w in ordered
-        )
+        ) + ((unknown,),)
         parents = tuple(
             tuple(sorted(fid_of[p] for p in hierarchy.get(w, ()))) for w in ordered
         )
@@ -160,6 +166,11 @@ class Dictionary:
     # -- basic accessors ------------------------------------------------
     def __len__(self) -> int:
         return len(self.names)
+
+    @property
+    def unknown(self) -> int:
+        """The fid of items missing from the dictionary (never frequent)."""
+        return len(self.names) + 1
 
     def name(self, fid: int) -> str:
         return self.names[fid - 1]
@@ -197,7 +208,9 @@ class Dictionary:
 
     # -- encoding -------------------------------------------------------
     def encode(self, seq: Sequence[str]) -> Tuple[int, ...]:
-        return tuple(self.fid_of[t] for t in seq)
+        """Item names → fids; unknown items map to :attr:`unknown`."""
+        fid_of, unknown = self.fid_of, self.unknown
+        return tuple(fid_of.get(t, unknown) for t in seq)
 
     def decode(self, fids: Sequence[int]) -> Tuple[str, ...]:
         return tuple(self.names[f - 1] for f in fids)

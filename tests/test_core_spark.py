@@ -257,6 +257,30 @@ class TestFacade:
         assert out.columns == ["pattern", "support"]
         assert out.collect() == []
 
+    @pytest.mark.parametrize("expr", [PIEX, ".*(.)[.{0,1}(.)]{1,2}.*"])
+    def test_mine_unknown_items(self, spark, dex_dict, expr):
+        """Items that a supplied dictionary lacks take a position but are
+        never frequent: D-SEQ, D-CAND and the sequential miner all give the
+        result for a dictionary in which they occur but are infrequent."""
+        db = [["zzz"] + DEX[0], DEX[1][:3] + ["yyy"] + DEX[1][3:],
+              DEX[2], DEX[3], DEX[4][:1] + ["xxx"] + DEX[4][1:]]
+        want = {" ".join(p): f for p, f in mine_sequential(db, HIER, expr, 2).items()}
+        assert want
+        df = spark.createDataFrame(pd.DataFrame({"items": db}))
+        for algo in ("dseq", "dcand"):
+            out = mine(spark, df, HIER, expr, 2, algorithm=algo, dictionary=dex_dict)
+            assert {r["pattern"]: r["support"] for r in out.collect()} == want, algo
+        seq = mine_sequential(db, HIER, expr, 2, dictionary=dex_dict)
+        assert {" ".join(p): f for p, f in seq.items()} == want
+
+    @pytest.mark.parametrize("algo", ["naive", "semi_naive", "dseq", "dcand"])
+    def test_mine_frequent_unknown_item_never_reported(self, spark, algo):
+        db = [["a", "zzz"], ["zzz", "b"], ["a", "zzz", "b"]]
+        d = Dictionary.build([[t for t in s if t != "zzz"] for s in db], {})
+        df = spark.createDataFrame(pd.DataFrame({"items": db}))
+        out = mine(spark, df, {}, ".*(.).*", 2, algorithm=algo, dictionary=d)
+        assert {r["pattern"]: r["support"] for r in out.collect()} == {"a": 2, "b": 2}
+
     def test_unknown_algorithm(self, spark, dex_df):
         with pytest.raises(ValueError):
             mine(spark, dex_df, HIER, PIEX, 2, algorithm="bogus")

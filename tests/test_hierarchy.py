@@ -118,6 +118,16 @@ class TestDictionary:
         assert not dex_dict.is_descendant(A, a1)
         assert not dex_dict.is_descendant(b, A)
 
+    def test_unknown_item_is_an_infrequent_sentinel(self):
+        d = Dictionary.build([["a", "b"], ["a"]], {})
+        assert d.encode(["a", "zzz", "yyy"]) == (1, d.unknown, d.unknown)
+        assert d.unknown == len(d) + 1
+        assert d.freq(d.unknown) == 0 and not d.is_frequent(d.unknown, 1)
+        assert d.ancestors(d.unknown) == (d.unknown,)
+        assert d.is_descendant(d.unknown, d.unknown)
+        assert not d.is_descendant(d.unknown, 1)
+        assert d.fmax(1) == 2
+
     def test_encode_decode_roundtrip(self, dex_dict):
         enc = dex_dict.encode(DEX[0])
         assert dex_dict.decode(enc) == tuple(DEX[0])

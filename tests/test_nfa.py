@@ -174,6 +174,28 @@ class TestSerialization:
         assert back.language() == nfa.language()
 
 
+    def test_serialized_form_pinned(self, piex_fst, dex_dict, dex_encoded):
+        """Wire format of T1's pivot-c NFA at σ=1: DFS order, source and
+        target ids on revisits, final markers."""
+        c = dex_dict.fid_of["c"]
+        nfa = nfas_for(piex_fst, dex_encoded[0], dex_dict, 1)[c]
+        assert serialize(nfa) == (
+            0, 1, 4, 0, 1, 3, 0, 1, 5, 4, 1, 1, 1, 1, 1, 5, 2, 1, 1, 4, 1, 5,
+            1, 3, 2, 1, 1, 4, 3, 6, 1, 5, 3, 3, 5, 1, 5, 3,
+        )
+
+    def test_roundtrip_long_chain(self):
+        """A 3 000-edge chain serializes without one recursion per edge."""
+        n = 3000
+        nfa = Nfa(
+            children=tuple((((i % 7 + 1,), i + 1),) for i in range(n)) + ((),),
+            final=(False,) * n + (True,),
+        )
+        data = serialize(nfa)
+        assert len(data) == 3 * n  # flags, label length, label per edge
+        assert deserialize(data) == nfa
+
+
 class TestNfaMining:
     def test_counts_running_example_pa1(self, piex_fst, dex_dict, dex_encoded):
         """Partition Pa1 via NFAs: same result as the paper (σ=2)."""
